@@ -8,7 +8,7 @@
 //! expects every slot, but filled with pair-keyed blocks verified by
 //! [`GatherOutput::verify_pairwise`].
 
-use eag_runtime::{pattern_block, pattern_block_pair, Chunk, Data, Item};
+use eag_runtime::{pattern_matches, pattern_matches_pair, Chunk, Data, Item};
 
 /// The assembled result of an all-gather at one process: one block per rank.
 ///
@@ -178,7 +178,9 @@ impl GatherOutput {
 
     /// Verifies a completed real-mode output against the deterministic input
     /// patterns (each rank's block must equal `pattern_block(seed, rank, m)`).
-    /// For phantom outputs, verifies lengths only.
+    /// The compare is bit-exact but streaming: the pattern is regenerated in
+    /// place, so no expected block is allocated. For phantom outputs,
+    /// verifies lengths only.
     pub fn verify(&self, seed: u64) {
         let missing = self.missing();
         assert!(
@@ -192,10 +194,12 @@ impl GatherOutput {
             .filter(|&(r, _)| self.expected[r])
         {
             let chunk = block.as_ref().unwrap();
-            assert_eq!(chunk.data.len(), self.lens[rank]);
+            let len = self.lens[rank];
+            assert_eq!(chunk.data.len(), len);
             if let Data::Real(bytes) = &chunk.data {
-                let expect = pattern_block(seed, rank, self.lens[rank]);
-                assert_eq!(bytes, &expect, "rank {rank}'s block corrupted in transit");
+                if let Err(off) = pattern_matches(seed, rank, bytes) {
+                    panic!("rank {rank}'s block corrupted in transit at byte {off} of {len}");
+                }
             }
         }
     }
@@ -230,13 +234,12 @@ impl GatherOutput {
             .filter(|&(r, _)| self.expected[r])
         {
             let chunk = block.as_ref().unwrap();
-            assert_eq!(chunk.data.len(), self.lens[src]);
+            let len = self.lens[src];
+            assert_eq!(chunk.data.len(), len);
             if let Data::Real(bytes) = &chunk.data {
-                let expect = pattern_block_pair(seed, src, dst, self.lens[src]);
-                assert_eq!(
-                    bytes, &expect,
-                    "block {src}->{dst} corrupted in transit"
-                );
+                if let Err(off) = pattern_matches_pair(seed, src, dst, bytes) {
+                    panic!("block {src}->{dst} corrupted in transit at byte {off} of {len}");
+                }
             }
         }
     }
@@ -330,6 +333,8 @@ impl DegradedOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eag_rope::Rope;
+    use eag_runtime::{pattern_block, pattern_block_pair};
 
     fn chunk(origin: usize, bytes: Vec<u8>) -> Chunk {
         Chunk::single(origin, Data::Real(bytes.into()))
@@ -394,12 +399,37 @@ mod tests {
         out.verify(seed);
     }
 
+    /// A rope split off word boundaries, with one byte flipped in the
+    /// middle segment.
+    fn flipped_rope(bytes: Vec<u8>, flip: usize) -> Rope {
+        let mut rope = Rope::from(bytes[..5].to_vec());
+        rope.append(bytes[5..27].to_vec().into());
+        rope.append(bytes[27..].to_vec().into());
+        assert_eq!(rope.segment_count(), 3);
+        rope.xor_byte(flip, 0x01);
+        rope
+    }
+
     #[test]
-    #[should_panic(expected = "corrupted")]
+    #[should_panic(expected = "rank 1's block corrupted in transit at byte 19 of 40")]
     fn verify_rejects_wrong_bytes() {
-        let mut out = GatherOutput::new(1, 8);
-        out.place(Chunk::single(0, Data::Real(vec![0; 8].into())));
-        out.verify(11);
+        let seed = 11;
+        let mut out = GatherOutput::new(2, 40);
+        out.place(chunk(0, pattern_block(seed, 0, 40)));
+        let bad = flipped_rope(pattern_block(seed, 1, 40), 19);
+        out.place(Chunk::single(1, Data::Real(bad)));
+        out.verify(seed);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 0->1 corrupted in transit at byte 26 of 40")]
+    fn verify_pairwise_reports_the_flipped_offset() {
+        let seed = 11;
+        let mut out = GatherOutput::new(2, 40);
+        let bad = flipped_rope(pattern_block_pair(seed, 0, 1, 40), 26);
+        out.place(Chunk::single(0, Data::Real(bad)));
+        out.place(chunk(1, pattern_block_pair(seed, 1, 1, 40)));
+        out.verify_pairwise(seed, 1);
     }
 
     #[test]

@@ -62,7 +62,10 @@ pub use eag_crypto::{Aead, CipherSuite};
 pub use eag_netsim::{Crash, FaultKind, FaultPlan};
 pub use error::{CollectiveError, FailureCause};
 pub use metrics::Metrics;
-pub use payload::{pattern_block, pattern_block_pair, Chunk, Data, Item, Parcel, Sealed};
+pub use payload::{
+    pattern_block, pattern_block_pair, pattern_matches, pattern_matches_pair, Chunk, Data, Item,
+    Parcel, Sealed,
+};
 pub use sched::RunGate;
 pub use session::{AdmitError, RetryBudget, Session, SessionConfig, SessionManager, SessionStats};
 pub use shared::{NodeShared, SlotKey};

@@ -405,34 +405,135 @@ impl Parcel {
 /// Deterministic test pattern for rank `origin`'s block: high-entropy-looking
 /// but reproducible, so receivers can verify content without communication.
 pub fn pattern_block(seed: u64, origin: Rank, len: usize) -> Vec<u8> {
-    // splitmix64 stream keyed by (seed, origin).
-    splitmix_stream(seed ^ (origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), len)
+    splitmix_stream(origin_key(seed, origin), len)
 }
 
 /// Deterministic test pattern for the *personalized* block rank `src` sends
 /// to rank `dst` (all-to-all traffic): keyed by the ordered pair, so the
 /// (0→1) block differs from (1→0) and from either rank's `pattern_block`.
 pub fn pattern_block_pair(seed: u64, src: Rank, dst: Rank, len: usize) -> Vec<u8> {
-    let key = seed
-        ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (dst as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    splitmix_stream(key, len)
+    splitmix_stream(pair_key(seed, src, dst), len)
 }
 
+/// Checks `rope` against `pattern_block(seed, origin, rope.len())` without
+/// building the expected block: the pattern is regenerated word by word and
+/// compared in place, segment by segment. `Err` carries the offset of the
+/// first mismatching byte. Every byte is compared; the block length itself
+/// is the caller's to check.
+pub fn pattern_matches(seed: u64, origin: Rank, rope: &Rope) -> Result<(), usize> {
+    stream_matches(origin_key(seed, origin), rope)
+}
+
+/// [`pattern_matches`] for the pair-keyed block `src` sends to `dst`
+/// (`pattern_block_pair`).
+pub fn pattern_matches_pair(seed: u64, src: Rank, dst: Rank, rope: &Rope) -> Result<(), usize> {
+    stream_matches(pair_key(seed, src, dst), rope)
+}
+
+fn origin_key(seed: u64, origin: Rank) -> u64 {
+    seed ^ (origin as u64).wrapping_mul(SPLITMIX_GAMMA)
+}
+
+fn pair_key(seed: u64, src: Rank, dst: Rank) -> u64 {
+    origin_key(seed, src) ^ (dst as u64).wrapping_mul(0xA076_1D64_78BD_642F)
+}
+
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Word `i` of the splitmix64 stream keyed by `key`, in counter form: the
+/// state after `i + 1` steps is `key + (i + 1)·γ`, so every word is
+/// independent of the others. The generator and the matcher both read the
+/// stream through this one function.
+#[inline(always)]
+fn splitmix_word(key: u64, i: u64) -> u64 {
+    let mut z = key.wrapping_add(i.wrapping_add(1).wrapping_mul(SPLITMIX_GAMMA));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The first `len` bytes of the stream: whole little-endian words, then
+/// the leading bytes of one more word.
 fn splitmix_stream(key: u64, len: usize) -> Vec<u8> {
-    let mut state = key;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let bytes = z.to_le_bytes();
-        let take = bytes.len().min(len - out.len());
-        out.extend_from_slice(&bytes[..take]);
+    let mut out = vec![0u8; len];
+    let mut words = out.chunks_exact_mut(8);
+    for (i, w) in (&mut words).enumerate() {
+        w.copy_from_slice(&splitmix_word(key, i as u64).to_le_bytes());
     }
+    let tail = words.into_remainder();
+    let n = tail.len();
+    tail.copy_from_slice(&splitmix_word(key, (len / 8) as u64).to_le_bytes()[..n]);
     out
+}
+
+/// Compares the rope's bytes against the stream, one segment at a time;
+/// segments may start and end anywhere inside a stream word.
+fn stream_matches(key: u64, rope: &Rope) -> Result<(), usize> {
+    let mut at = 0;
+    for seg in rope.segments() {
+        segment_matches(key, at, seg).map_err(|off| at + off)?;
+        at += seg.len();
+    }
+    Ok(())
+}
+
+/// Compares `seg` against stream bytes `at..at + seg.len()`; `Err` is the
+/// offset of the first mismatch within `seg`.
+fn segment_matches(key: u64, at: usize, seg: &[u8]) -> Result<(), usize> {
+    // Head: the rest of a word the previous segment started.
+    let head = ((8 - at % 8) % 8).min(seg.len());
+    bytes_match(key, at, &seg[..head])?;
+    // Body: four independent words per step, differences OR-accumulated;
+    // a dirty step is rescanned word by word to locate the first mismatch.
+    let first = ((at + head) / 8) as u64;
+    let mut quads = seg[head..].chunks_exact(32);
+    for (q, c) in (&mut quads).enumerate() {
+        let i = first + 4 * q as u64;
+        let mut diff = 0;
+        for k in 0..4 {
+            diff |= load_word(c, k) ^ splitmix_word(key, i + k as u64);
+        }
+        if diff != 0 {
+            return words_match(key, i, c).map_err(|off| head + 32 * q + off);
+        }
+    }
+    let rest = quads.remainder();
+    let done = seg.len() - rest.len();
+    let whole = rest.len() - rest.len() % 8;
+    words_match(key, ((at + done) / 8) as u64, &rest[..whole]).map_err(|off| done + off)?;
+    // Tail: the leading bytes of a word the next segment finishes.
+    bytes_match(key, at + done + whole, &rest[whole..]).map_err(|off| done + whole + off)
+}
+
+#[inline(always)]
+fn load_word(c: &[u8], k: usize) -> u64 {
+    u64::from_le_bytes(c[8 * k..8 * k + 8].try_into().unwrap())
+}
+
+/// Compares whole words `c` (a multiple of 8 bytes) against stream words
+/// `i..`; the first differing byte is the lowest set byte of the XOR.
+fn words_match(key: u64, i: u64, c: &[u8]) -> Result<(), usize> {
+    for k in 0..c.len() / 8 {
+        let diff = load_word(c, k) ^ splitmix_word(key, i + k as u64);
+        if diff != 0 {
+            return Err(8 * k + diff.trailing_zeros() as usize / 8);
+        }
+    }
+    Ok(())
+}
+
+/// Compares `bytes` (within one stream word) against stream bytes
+/// `at..at + bytes.len()`.
+fn bytes_match(key: u64, at: usize, bytes: &[u8]) -> Result<(), usize> {
+    if bytes.is_empty() {
+        return Ok(());
+    }
+    let word = splitmix_word(key, (at / 8) as u64).to_le_bytes();
+    let expect = &word[at % 8..at % 8 + bytes.len()];
+    match bytes.iter().zip(expect).position(|(a, b)| a != b) {
+        Some(off) => Err(off),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -626,5 +727,23 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a, d);
         assert_eq!(pattern_block(7, 0, 5).len(), 5);
+    }
+
+    /// The pattern bytes are pinned: world inputs, the wiretap audits and
+    /// the committed bench baseline all depend on them.
+    #[test]
+    fn pattern_golden_vectors() {
+        assert_eq!(
+            pattern_block(7, 0, 13),
+            [0xd7, 0x0d, 0x32, 0x59, 0xe4, 0xe1, 0xcb, 0x63, 0x1c, 0x66, 0x3c, 0xf4, 0xd7]
+        );
+        assert_eq!(
+            pattern_block(7, 3, 8),
+            [0xc2, 0xd0, 0xda, 0xed, 0xe1, 0xb6, 0xce, 0x28]
+        );
+        assert_eq!(
+            pattern_block_pair(7, 1, 2, 13),
+            [0x48, 0xe0, 0x0e, 0x21, 0xb7, 0x96, 0x2e, 0x8b, 0x99, 0x7e, 0xaa, 0x5d, 0x00]
+        );
     }
 }

@@ -1,6 +1,10 @@
 //! Property-based tests for the data plane (chunks, parcels, patterns).
 
-use eag_runtime::{pattern_block, Chunk, Data, Item, Parcel, Sealed};
+use eag_rope::Rope;
+use eag_runtime::{
+    pattern_block, pattern_block_pair, pattern_matches, pattern_matches_pair, Chunk, Data, Item,
+    Parcel, Sealed,
+};
 use proptest::prelude::*;
 
 fn arb_chunk(max_origins: usize, block_len: usize) -> impl Strategy<Value = Chunk> {
@@ -15,6 +19,20 @@ fn arb_chunk(max_origins: usize, block_len: usize) -> impl Strategy<Value = Chun
             data: Data::Real(data.into()),
         }
     })
+}
+
+/// `bytes` as a rope cut at `cuts` (clamped to the length, any order), so
+/// segment boundaries land anywhere, not only on 8-byte word boundaries.
+fn segmented(bytes: &[u8], cuts: &[usize]) -> Rope {
+    let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(bytes.len())).collect();
+    cuts.sort_unstable();
+    let mut rope = Rope::new();
+    let mut start = 0;
+    for end in cuts.into_iter().chain([bytes.len()]) {
+        rope.append(bytes[start..end].to_vec().into());
+        start = end;
+    }
+    rope
 }
 
 proptest! {
@@ -71,5 +89,87 @@ proptest! {
             let longer = pattern_block(seed, origin, len + 40);
             prop_assert_eq!(&longer[..len], &a[..]);
         }
+    }
+
+    /// The streaming matcher accepts exactly the ropes equal to the
+    /// generated pattern, for every segmentation; a corrupted byte makes
+    /// both sides disagree with the pattern.
+    #[test]
+    fn pattern_matches_iff_equal(
+        seed in any::<u64>(),
+        origin in 0usize..1000,
+        len in 0usize..=300,
+        cuts in proptest::collection::vec(0usize..=300, 0..6),
+        corrupt in any::<bool>(),
+        pos in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let mut bytes = pattern_block(seed, origin, len);
+        if corrupt && len > 0 {
+            bytes[pos % len] ^= mask;
+        }
+        let rope = segmented(&bytes, &cuts);
+        prop_assert_eq!(
+            pattern_matches(seed, origin, &rope).is_ok(),
+            rope == pattern_block(seed, origin, len)
+        );
+        let dst = origin + 1;
+        let mut pair = pattern_block_pair(seed, origin, dst, len);
+        if corrupt && len > 0 {
+            pair[pos % len] ^= mask;
+        }
+        let rope = segmented(&pair, &cuts);
+        prop_assert_eq!(
+            pattern_matches_pair(seed, origin, dst, &rope).is_ok(),
+            rope == pattern_block_pair(seed, origin, dst, len)
+        );
+    }
+
+    /// A single flipped byte anywhere — in a segment's head, a word of its
+    /// body, or its sub-word tail — is rejected at exactly its offset.
+    #[test]
+    fn pattern_matches_reports_every_flipped_offset(
+        seed in any::<u64>(),
+        origin in 0usize..1000,
+        len in 1usize..=300,
+        cuts in proptest::collection::vec(0usize..=300, 0..6),
+        mask in 1u8..=255,
+    ) {
+        let bytes = pattern_block(seed, origin, len);
+        let mut rope = segmented(&bytes, &cuts);
+        prop_assert_eq!(pattern_matches(seed, origin, &rope), Ok(()));
+        for at in 0..len {
+            rope.xor_byte(at, mask);
+            prop_assert_eq!(pattern_matches(seed, origin, &rope), Err(at));
+            rope.xor_byte(at, mask);
+        }
+    }
+
+    /// The right bytes under the wrong key are rejected: another seed,
+    /// another origin, or another (src, dst) pair.
+    #[test]
+    fn pattern_matches_rejects_wrong_keys(
+        seed in any::<u64>(),
+        other_seed in any::<u64>(),
+        src in 0usize..1000,
+        other in 0usize..1000,
+        len in 8usize..=300,
+        cuts in proptest::collection::vec(0usize..=300, 0..6),
+    ) {
+        let rope = segmented(&pattern_block(seed, src, len), &cuts);
+        if other_seed != seed {
+            prop_assert!(pattern_matches(other_seed, src, &rope).is_err());
+        }
+        if other != src {
+            prop_assert!(pattern_matches(seed, other, &rope).is_err());
+        }
+        let dst = src + 1;
+        let rope = segmented(&pattern_block_pair(seed, src, dst, len), &cuts);
+        prop_assert!(pattern_matches_pair(seed, src, dst, &rope).is_ok());
+        prop_assert!(pattern_matches_pair(seed, dst, src, &rope).is_err());
+        if other != dst {
+            prop_assert!(pattern_matches_pair(seed, src, other, &rope).is_err());
+        }
+        prop_assert!(pattern_matches(seed, src, &rope).is_err());
     }
 }
