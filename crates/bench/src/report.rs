@@ -543,7 +543,8 @@ pub fn run_recovery_case(case: &RecoveryCase) -> RecoveryEntry {
 
 /// Runs one case and serializes the result.
 pub fn run_case(case: &SuiteCase) -> BenchEntry {
-    let (samples, metrics) = simulate_collective_samples(&case.cfg, case.collective, case.msg_bytes);
+    let (samples, metrics) =
+        simulate_collective_samples(&case.cfg, case.collective, case.msg_bytes);
     let stats = Stats::of(&samples);
     BenchEntry {
         operation: case.collective.operation().name().to_string(),

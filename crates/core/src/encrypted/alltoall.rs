@@ -118,12 +118,7 @@ pub fn alltoall_bruck(
     // Blocks currently positioned at this rank, keyed (si, di) by
     // member index. Initially: everything this rank originates.
     let mut held: BTreeMap<(usize, usize), Item> = (0..q)
-        .map(|di| {
-            (
-                (i, di),
-                Item::Plain(ctx.my_block_for(members[di], m)),
-            )
-        })
+        .map(|di| ((i, di), Item::Plain(ctx.my_block_for(members[di], m))))
         .collect();
 
     for k in 0..ceil_log2(q) {

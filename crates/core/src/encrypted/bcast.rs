@@ -31,9 +31,7 @@ pub fn bcast_segments(m: usize) -> usize {
 fn seg_lens(m: usize, segments: usize) -> Vec<usize> {
     let base = m / segments;
     let rem = m % segments;
-    (0..segments)
-        .map(|i| base + usize::from(i < rem))
-        .collect()
+    (0..segments).map(|i| base + usize::from(i < rem)).collect()
 }
 
 fn slice_data(data: &Data, segs: &[usize]) -> Vec<Data> {

@@ -407,7 +407,7 @@ mod tests {
             let members2 = members.clone();
             let report = run(&world(12, 3, Mapping::Block), move |ctx| {
                 if members2.contains(&ctx.rank()) {
-                    let out = f(ctx, &members2, &vec![16; 12], 400);
+                    let out = f(ctx, &members2, &[16; 12], 400);
                     out.verify(SEED);
                 }
             });

@@ -56,9 +56,7 @@ pub use bounds::{
 pub use collective::{recover_allgather, recover_collective};
 pub use eag_runtime::CipherSuite;
 pub use group::{allgather_group, Group};
-pub use operation::{
-    varying_lens, AlltoallAlgo, BcastAlgo, Collective, Operation, RootedAlgo,
-};
+pub use operation::{varying_lens, AlltoallAlgo, BcastAlgo, Collective, Operation, RootedAlgo};
 pub use output::{DegradedOutput, GatherOutput};
 
 /// Tag-space layout: every phase of every algorithm draws its message tags

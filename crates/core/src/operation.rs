@@ -101,10 +101,7 @@ impl Operation {
     /// Looks an operation up by [`Operation::name`] (case-insensitive).
     pub fn by_name(name: &str) -> Option<Operation> {
         let lower = name.to_ascii_lowercase();
-        Operation::all()
-            .iter()
-            .copied()
-            .find(|o| o.name() == lower)
+        Operation::all().iter().copied().find(|o| o.name() == lower)
     }
 
     /// True for operations whose output is replicated at every rank
@@ -283,10 +280,16 @@ impl Collective {
                 Collective::Allgatherv(a)
             }
             Operation::Broadcast => Collective::Broadcast(
-                BcastAlgo::all().iter().copied().find(|b| b.name() == lower)?,
+                BcastAlgo::all()
+                    .iter()
+                    .copied()
+                    .find(|b| b.name() == lower)?,
             ),
             Operation::Gather | Operation::Gatherv | Operation::Scatter | Operation::Scatterv => {
-                let r = RootedAlgo::all().iter().copied().find(|r| r.name() == lower)?;
+                let r = RootedAlgo::all()
+                    .iter()
+                    .copied()
+                    .find(|r| r.name() == lower)?;
                 match Operation::by_name(op)? {
                     Operation::Gather => Collective::Gather(r),
                     Operation::Gatherv => Collective::Gatherv(r),
@@ -295,7 +298,10 @@ impl Collective {
                 }
             }
             Operation::Alltoall => Collective::Alltoall(
-                AlltoallAlgo::all().iter().copied().find(|a| a.name() == lower)?,
+                AlltoallAlgo::all()
+                    .iter()
+                    .copied()
+                    .find(|a| a.name() == lower)?,
             ),
         })
     }
@@ -483,10 +489,7 @@ impl Collective {
         if let Collective::Allgather(a) = self {
             return crate::bounds::predict(*a, p, nodes, m);
         }
-        if !p.is_power_of_two()
-            || !nodes.is_power_of_two()
-            || nodes < 2
-            || !p.is_multiple_of(nodes)
+        if !p.is_power_of_two() || !nodes.is_power_of_two() || nodes < 2 || !p.is_multiple_of(nodes)
         {
             return None;
         }

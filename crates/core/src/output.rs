@@ -195,7 +195,11 @@ impl GatherOutput {
         {
             let chunk = block.as_ref().unwrap();
             let len = self.lens[rank];
-            assert_eq!(chunk.data.len(), len);
+            let got = chunk.data.len();
+            assert_eq!(
+                got, len,
+                "rank {rank}'s block has {got} bytes, expected {len}"
+            );
             if let Data::Real(bytes) = &chunk.data {
                 if let Err(off) = pattern_matches(seed, rank, bytes) {
                     panic!("rank {rank}'s block corrupted in transit at byte {off} of {len}");
@@ -235,7 +239,11 @@ impl GatherOutput {
         {
             let chunk = block.as_ref().unwrap();
             let len = self.lens[src];
-            assert_eq!(chunk.data.len(), len);
+            let got = chunk.data.len();
+            assert_eq!(
+                got, len,
+                "block {src}->{dst} has {got} bytes, expected {len}"
+            );
             if let Data::Real(bytes) = &chunk.data {
                 if let Err(off) = pattern_matches_pair(seed, src, dst, bytes) {
                     panic!("block {src}->{dst} corrupted in transit at byte {off} of {len}");
@@ -428,6 +436,28 @@ mod tests {
         let mut out = GatherOutput::new(2, 40);
         let bad = flipped_rope(pattern_block_pair(seed, 0, 1, 40), 26);
         out.place(Chunk::single(0, Data::Real(bad)));
+        out.place(chunk(1, pattern_block_pair(seed, 1, 1, 40)));
+        out.verify_pairwise(seed, 1);
+    }
+
+    // `place` rejects a wrong-length block up front, so these tests store
+    // one in its slot directly to reach the check inside `verify`.
+    #[test]
+    #[should_panic(expected = "rank 1's block has 39 bytes, expected 40")]
+    fn verify_names_a_wrong_block_length() {
+        let seed = 11;
+        let mut out = GatherOutput::new(2, 40);
+        out.place(chunk(0, pattern_block(seed, 0, 40)));
+        out.blocks[1] = Some(chunk(1, pattern_block(seed, 1, 39)));
+        out.verify(seed);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 0->1 has 41 bytes, expected 40")]
+    fn verify_pairwise_names_a_wrong_block_length() {
+        let seed = 11;
+        let mut out = GatherOutput::new(2, 40);
+        out.blocks[0] = Some(chunk(0, pattern_block_pair(seed, 0, 1, 41)));
         out.place(chunk(1, pattern_block_pair(seed, 1, 1, 40)));
         out.verify_pairwise(seed, 1);
     }

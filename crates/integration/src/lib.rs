@@ -347,10 +347,9 @@ pub fn collective_crash_run(
                     None => decided = Some(out.failed.clone()),
                 }
                 agreed &= out.failed.iter().all(|r| report.crashed.contains(r));
-                verified &= catch_unwind(AssertUnwindSafe(|| {
-                    c.verify(rank, &out.output, DATA_SEED)
-                }))
-                .is_ok();
+                verified &=
+                    catch_unwind(AssertUnwindSafe(|| c.verify(rank, &out.output, DATA_SEED)))
+                        .is_ok();
                 let bytes = if replicated {
                     out.canonical_bytes()
                 } else {

@@ -469,9 +469,19 @@ fn splitmix_stream(key: u64, len: usize) -> Vec<u8> {
 /// Compares the rope's bytes against the stream, one segment at a time;
 /// segments may start and end anywhere inside a stream word.
 fn stream_matches(key: u64, rope: &Rope) -> Result<(), usize> {
+    rope_matches(key, rope, body_matches)
+}
+
+/// Signature of a whole-word body matcher: compares `c` (a multiple of 8
+/// bytes) against stream words `i..`; `Err` is the offset of the first
+/// mismatching byte within `c`.
+type Body = fn(u64, u64, &[u8]) -> Result<(), usize>;
+
+/// [`stream_matches`] with the body matcher passed in.
+fn rope_matches(key: u64, rope: &Rope, body: Body) -> Result<(), usize> {
     let mut at = 0;
     for seg in rope.segments() {
-        segment_matches(key, at, seg).map_err(|off| at + off)?;
+        segment_matches(key, at, seg, body).map_err(|off| at + off)?;
         at += seg.len();
     }
     Ok(())
@@ -479,30 +489,100 @@ fn stream_matches(key: u64, rope: &Rope) -> Result<(), usize> {
 
 /// Compares `seg` against stream bytes `at..at + seg.len()`; `Err` is the
 /// offset of the first mismatch within `seg`.
-fn segment_matches(key: u64, at: usize, seg: &[u8]) -> Result<(), usize> {
+fn segment_matches(key: u64, at: usize, seg: &[u8], body: Body) -> Result<(), usize> {
     // Head: the rest of a word the previous segment started.
     let head = ((8 - at % 8) % 8).min(seg.len());
     bytes_match(key, at, &seg[..head])?;
-    // Body: four independent words per step, differences OR-accumulated;
-    // a dirty step is rescanned word by word to locate the first mismatch.
-    let first = ((at + head) / 8) as u64;
-    let mut quads = seg[head..].chunks_exact(32);
-    for (q, c) in (&mut quads).enumerate() {
-        let i = first + 4 * q as u64;
+    let whole = (seg.len() - head) / 8 * 8;
+    let done = head + whole;
+    body(key, ((at + head) / 8) as u64, &seg[head..done]).map_err(|off| head + off)?;
+    // Tail: the leading bytes of a word the next segment finishes.
+    bytes_match(key, at + done, &seg[done..]).map_err(|off| done + off)
+}
+
+/// The whole-word body: the AVX-512 kernel where the CPU has it, the
+/// portable quad loop everywhere else.
+fn body_matches(key: u64, i: u64, c: &[u8]) -> Result<(), usize> {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if has_avx512() {
+        // SAFETY: `has_avx512` has just confirmed that this CPU supports
+        // avx512f and avx512dq, the features `body_matches_avx512` enables.
+        return unsafe { body_matches_avx512(key, i, c) };
+    }
+    quads_match(key, i, c)
+}
+
+/// Portable body: four independent words per step, differences
+/// OR-accumulated; a dirty step is rescanned word by word to locate the
+/// first mismatch, and the sub-quad remainder goes word by word.
+fn quads_match(key: u64, i: u64, c: &[u8]) -> Result<(), usize> {
+    let mut quads = c.chunks_exact(32);
+    for (q, quad) in (&mut quads).enumerate() {
+        let i = i + 4 * q as u64;
         let mut diff = 0;
         for k in 0..4 {
-            diff |= load_word(c, k) ^ splitmix_word(key, i + k as u64);
+            diff |= load_word(quad, k) ^ splitmix_word(key, i + k as u64);
         }
         if diff != 0 {
-            return words_match(key, i, c).map_err(|off| head + 32 * q + off);
+            return words_match(key, i, quad).map_err(|off| 32 * q + off);
         }
     }
-    let rest = quads.remainder();
-    let done = seg.len() - rest.len();
-    let whole = rest.len() - rest.len() % 8;
-    words_match(key, ((at + done) / 8) as u64, &rest[..whole]).map_err(|off| done + off)?;
-    // Tail: the leading bytes of a word the next segment finishes.
-    bytes_match(key, at + done + whole, &rest[whole..]).map_err(|off| done + whole + off)
+    let done = c.len() - quads.remainder().len();
+    words_match(key, i + (done / 8) as u64, quads.remainder()).map_err(|off| done + off)
+}
+
+/// Whether this CPU runs the AVX-512 body (std caches the probe).
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+}
+
+/// AVX-512 body: whole 64-byte steps on the eight-lane kernel, a dirty
+/// step rescanned by [`words_match`] for the exact offset, and the
+/// sub-step remainder on the portable quad loop.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn body_matches_avx512(key: u64, i: u64, c: &[u8]) -> Result<(), usize> {
+    let wide = c.len() / 64 * 64;
+    if let Some(s) = first_dirty_step(key, i, &c[..wide]) {
+        let step = &c[64 * s..64 * s + 64];
+        return words_match(key, i + 8 * s as u64, step).map_err(|off| 64 * s + off);
+    }
+    quads_match(key, i + (wide / 8) as u64, &c[wide..]).map_err(|off| wide + off)
+}
+
+/// Eight stream words per 64-byte step of `c` (a multiple of 64 bytes),
+/// lane `j` of step `s` being word `i + 8s + j`: the state vector holds
+/// `key + (i + 8s + j + 1)·γ` and the two splitmix rounds run on 64-bit
+/// lane multiplies. Returns the index of the first step whose bytes differ
+/// from the stream.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn first_dirty_step(key: u64, i: u64, c: &[u8]) -> Option<usize> {
+    use std::arch::x86_64::*;
+    let splat = |x: u64| _mm512_set1_epi64(x as i64);
+    let base = key.wrapping_add(i.wrapping_add(1).wrapping_mul(SPLITMIX_GAMMA));
+    let lanes = _mm512_mullo_epi64(
+        _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+        splat(SPLITMIX_GAMMA),
+    );
+    let mut state = _mm512_add_epi64(splat(base), lanes);
+    let advance = splat(8u64.wrapping_mul(SPLITMIX_GAMMA));
+    let (m1, m2) = (splat(0xBF58_476D_1CE4_E5B9), splat(0x94D0_49BB_1331_11EB));
+    for (s, step) in c.chunks_exact(64).enumerate() {
+        let mut z = state;
+        z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), m1);
+        z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), m2);
+        z = _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z));
+        // SAFETY: `step` is 64 readable bytes, and the load is unaligned.
+        let got = unsafe { _mm512_loadu_si512(step.as_ptr().cast()) };
+        let diff = _mm512_xor_si512(got, z);
+        if _mm512_test_epi64_mask(diff, diff) != 0 {
+            return Some(s);
+        }
+        state = _mm512_add_epi64(state, advance);
+    }
+    None
 }
 
 #[inline(always)]
@@ -727,6 +807,79 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a, d);
         assert_eq!(pattern_block(7, 0, 5).len(), 5);
+    }
+
+    /// The AVX-512 body and the portable body return the same `Result`,
+    /// down to the reported offset: random keys, lengths 0..=1024 under
+    /// random segmentations (boundaries inside 64-byte steps), segments of
+    /// 64·k and 64·k ± 1..7 bytes at every in-word start, and a flipped
+    /// byte in every lane of two consecutive steps.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn avx512_body_equals_portable_body() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        if !has_avx512() {
+            eprintln!("skipped: this CPU lacks avx512f/avx512dq");
+            return;
+        }
+        // SAFETY: `has_avx512` confirmed avx512f and avx512dq above.
+        let avx: Body = |key, i, c| unsafe { body_matches_avx512(key, i, c) };
+        let rope_both = |key: u64, rope: &Rope| {
+            let portable = rope_matches(key, rope, quads_match);
+            assert_eq!(rope_matches(key, rope, avx), portable, "len {}", rope.len());
+            portable
+        };
+        let seg_both = |key: u64, at: usize, seg: &[u8]| {
+            let portable = segment_matches(key, at, seg, quads_match);
+            assert_eq!(segment_matches(key, at, seg, avx), portable, "at {at}");
+            portable
+        };
+
+        let mut rng = StdRng::seed_from_u64(0x0A5C_512D);
+        for len in 0..=1024usize {
+            let key = rng.random::<u64>();
+            let bytes = splitmix_stream(key, len);
+            let mut cuts: Vec<usize> = (0..rng.random_range(0..6usize))
+                .map(|_| rng.random_range(0..=len))
+                .collect();
+            cuts.sort_unstable();
+            let mut rope = Rope::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                rope.append(Rope::from(bytes[from..cut].to_vec()));
+                from = cut;
+            }
+            assert_eq!(rope_both(key, &rope), Ok(()));
+            if len >= 8 {
+                assert!(rope_both(key ^ 1, &rope).is_err());
+            }
+            if len > 0 {
+                let pos = rng.random_range(0..len);
+                rope.xor_byte(pos, rng.random_range(1..=255u8));
+                assert_eq!(rope_both(key, &rope), Err(pos));
+            }
+        }
+
+        for k in 1..=4usize {
+            for n in 64 * k - 7..=64 * k + 7 {
+                for at in 0..8 {
+                    let key = rng.random::<u64>();
+                    let mut stream = splitmix_stream(key, at + n);
+                    assert_eq!(seg_both(key, at, &stream[at..]), Ok(()));
+                    let pos = rng.random_range(0..n);
+                    stream[at + pos] ^= 1 << rng.random_range(0..8u32);
+                    assert_eq!(seg_both(key, at, &stream[at..]), Err(pos));
+                }
+            }
+        }
+
+        let key = rng.random::<u64>();
+        let mut stream = splitmix_stream(key, 320);
+        for pos in 64..192 {
+            stream[pos] ^= 0x80;
+            assert_eq!(seg_both(key, 0, &stream), Err(pos));
+            stream[pos] ^= 0x80;
+        }
     }
 
     /// The pattern bytes are pinned: world inputs, the wiretap audits and

@@ -690,9 +690,9 @@ impl<'w> ProcCtx<'w> {
     /// origin so the receiver can identify the source from chunk metadata.
     pub fn my_block_for(&self, dst: Rank, len: usize) -> Chunk {
         let data = match self.mode {
-            DataMode::Real { seed } => Data::Real(
-                crate::payload::pattern_block_pair(seed, self.rank, dst, len).into(),
-            ),
+            DataMode::Real { seed } => {
+                Data::Real(crate::payload::pattern_block_pair(seed, self.rank, dst, len).into())
+            }
             DataMode::Phantom => Data::Phantom(len),
         };
         Chunk::single(self.rank, data)

@@ -37,7 +37,10 @@ fn every_new_collective_survives_a_single_crash() {
             _ => 4,
         };
         let r = collective_crash_run(c, 8, 4, 64, vec![Crash::before(victim, 1)]);
-        assert!(r.ok(), "{c}: single crash broke the recovery contract: {r:?}");
+        assert!(
+            r.ok(),
+            "{c}: single crash broke the recovery contract: {r:?}"
+        );
         if r.fired {
             assert_eq!(r.survivors, 7, "{c}");
             assert_eq!(r.crashed, vec![victim], "{c}");
@@ -56,7 +59,10 @@ fn every_new_collective_survives_a_double_crash() {
             64,
             vec![Crash::before(2, 1), Crash::before(5, 0).at_epoch(1)],
         );
-        assert!(r.ok(), "{c}: double crash broke the recovery contract: {r:?}");
+        assert!(
+            r.ok(),
+            "{c}: double crash broke the recovery contract: {r:?}"
+        );
         assert!(r.survivors >= 6, "{c}: more ranks died than scheduled");
     }
 }
@@ -99,7 +105,10 @@ fn allgatherv_crash_preserves_variable_lengths_byte_identically() {
         let c = Collective::Allgatherv(algo);
         let r = collective_crash_run(c, p, nodes, m, vec![Crash::before(3, 1)]);
         assert!(r.ok(), "{c}: crash broke the recovery contract: {r:?}");
-        assert!(r.fired, "{c}: the armed crash never fired — test is vacuous");
+        assert!(
+            r.fired,
+            "{c}: the armed crash never fired — test is vacuous"
+        );
         assert_eq!(r.crashed, vec![3], "{c}");
         assert!(r.recoveries > 0, "{c}");
         assert_eq!(
@@ -127,13 +136,7 @@ fn alltoall_double_crash_keeps_pairwise_outputs_consistent() {
     // with exactly the survivor-sourced blocks addressed to *it*.
     for variant in [AlltoallAlgo::Pairwise, AlltoallAlgo::Bruck] {
         let c = Collective::Alltoall(variant);
-        let r = collective_crash_run(
-            c,
-            8,
-            4,
-            64,
-            vec![Crash::before(1, 2), Crash::before(6, 1)],
-        );
+        let r = collective_crash_run(c, 8, 4, 64, vec![Crash::before(1, 2), Crash::before(6, 1)]);
         assert!(r.ok(), "{c}: {r:?}");
     }
 }
